@@ -193,7 +193,7 @@ func BenchmarkMatrixSerial(b *testing.B) {
 
 func BenchmarkMatrixParallel(b *testing.B) {
 	benchMatrix(b, "tealeaf", func(idxs map[string]*core.Index, order []string) error {
-		engine := core.NewEngineWithCache(0, nil) // cold, uncached: pool speedup only
+		engine := core.NewEngineStore(0, nil, nil, nil) // cold, uncached: pool speedup only
 		_, err := engine.Matrix(idxs, order, core.MetricTsem)
 		return err
 	})
@@ -208,7 +208,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // overhead a few percent.
 func BenchmarkMatrixObsEnabled(b *testing.B) {
 	benchMatrix(b, "tealeaf", func(idxs map[string]*core.Index, order []string) error {
-		engine := core.NewEngineObs(0, nil, obs.NewRecorder())
+		engine := core.NewEngineStore(0, nil, obs.NewRecorder(), nil)
 		_, err := engine.Matrix(idxs, order, core.MetricTsem)
 		return err
 	})
@@ -237,7 +237,7 @@ func BenchmarkMatrixSerialCloverLeaf(b *testing.B) {
 
 func BenchmarkMatrixParallelCloverLeaf(b *testing.B) {
 	benchMatrix(b, "cloverleaf", func(idxs map[string]*core.Index, order []string) error {
-		engine := core.NewEngineWithCache(0, nil)
+		engine := core.NewEngineStore(0, nil, nil, nil)
 		_, err := engine.Matrix(idxs, order, core.MetricTsem)
 		return err
 	})

@@ -85,21 +85,20 @@ type Engine struct {
 // NewEngine returns an engine with the given worker-pool bound and a fresh
 // shared cache. workers <= 0 selects runtime.NumCPU().
 func NewEngine(workers int) *Engine {
-	return NewEngineWithCache(workers, ted.NewCache())
+	return NewEngineStore(workers, ted.NewCache(), nil, nil)
 }
 
-// NewEngineWithCache returns an engine using an existing cache (pass nil
-// to disable caching, e.g. to benchmark raw parallel speedup).
-func NewEngineWithCache(workers int, cache *ted.Cache) *Engine {
-	return NewEngineObs(workers, cache, nil)
-}
-
-// NewEngineObs returns an engine wired to an observability recorder: the
-// worker pool records task latency and queue depth, Matrix/FromBase emit
-// span trees, and the cache (when non-nil) feeds the ted.* counters. A nil
-// recorder yields exactly the uninstrumented engine — the obs handles stay
-// nil and every hook is a pointer check.
-func NewEngineObs(workers int, cache *ted.Cache, rec *obs.Recorder) *Engine {
+// NewEngineStore returns an engine over an explicit cache, observability
+// recorder and persistent artifact store; a nil argument turns that layer
+// off. A nil cache disables caching (raw parallel speedup only). A
+// recorder makes the worker pool record task latency and queue depth,
+// Matrix/FromBase emit span trees, and the cache feed the ted.* counters;
+// without one every hook is a pointer check. A store backs the cache and
+// the index pipeline: TED misses read through to (and write behind into)
+// its distance tier, and IndexCodebase warm-starts from its index tier.
+// The engine does not own the store — the caller must Close it to drain
+// pending writes.
+func NewEngineStore(workers int, cache *ted.Cache, rec *obs.Recorder, st *store.Store) *Engine {
 	e := &Engine{workers: ResolveWorkers(workers), cache: cache, rec: rec}
 	if cache != nil {
 		e.cellMemo = map[cellKey]cellVal{}
@@ -120,6 +119,13 @@ func NewEngineObs(workers int, cache *ted.Cache, rec *obs.Recorder) *Engine {
 		e.obsCellsRecomputed = rec.Counter("incr.cells_recomputed")
 		e.obsSubReused = rec.Counter("incr.subtree_blocks_reused")
 		e.obsSubRecomputed = rec.Counter("incr.subtree_blocks_recomputed")
+	}
+	if st != nil {
+		e.astore = st
+		st.SetRecorder(rec)
+		if cache != nil {
+			cache.SetStore(st)
+		}
 	}
 	return e
 }
@@ -427,12 +433,6 @@ func (e *Engine) runParallel(ctx context.Context, n int, parent *obs.Span, spanN
 		}
 	}
 	return runParallelCtx(ctx, n, e.workers, fn)
-}
-
-// runParallel is the uncancellable form of the shared bounded pool, kept
-// for the index pipeline's non-context entry points.
-func runParallel(n, workers int, fn func(int)) {
-	runParallelCtx(context.Background(), n, workers, fn)
 }
 
 // runParallelCtx is the shared bounded pool: workers goroutines pull task

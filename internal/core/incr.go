@@ -171,18 +171,11 @@ func (s *IncrStats) add(o IncrStats) {
 // options (or for a different app/model/language) disqualifies itself
 // entirely. A nil prior degrades to the cold path.
 func IndexCodebaseIncremental(cb *corpus.Codebase, prior *Index, opts Options) (*Index, IncrStats, error) {
-	return IndexCodebaseIncrementalCtx(context.Background(), cb, prior, opts)
-}
-
-// IndexCodebaseIncrementalCtx is IndexCodebaseIncremental under a
-// cancellation context: the dirty-unit reparse pool checks ctx at every
-// task grant and a canceled run returns ctx.Err() with no partial Index.
-func IndexCodebaseIncrementalCtx(ctx context.Context, cb *corpus.Codebase, prior *Index, opts Options) (*Index, IncrStats, error) {
 	var st IncrStats
 	od := opts.Digest()
 	if prior == nil || prior.Codebase != cb.App || prior.Model != string(cb.Model) ||
 		prior.Lang != cb.Lang || prior.Opts != od {
-		idx, err := IndexCodebaseCtx(ctx, cb, opts)
+		idx, err := IndexCodebase(cb, opts)
 		if idx != nil {
 			st.UnitsReparsed = len(idx.Units)
 		}
@@ -215,7 +208,8 @@ func IndexCodebaseIncrementalCtx(ctx context.Context, cb *corpus.Codebase, prior
 	opts.Recorder.Counter("incr.units_reused").Add(int64(st.UnitsReused))
 	opts.Recorder.Counter("incr.units_reparsed").Add(int64(st.UnitsReparsed))
 	errs := make([]error, len(dirty))
-	ctxErr := runParallelCtx(ctx, len(dirty), workers, func(k int) {
+	// The pool errs only on cancellation, which Background rules out.
+	_ = runParallelCtx(context.Background(), len(dirty), workers, func(k int) {
 		i := dirty[k]
 		u := cb.Units[i]
 		usp := root.Start("index.unit").Arg("file", u.File)
@@ -227,9 +221,6 @@ func IndexCodebaseIncrementalCtx(ctx context.Context, cb *corpus.Codebase, prior
 		usp.End()
 	})
 	root.End()
-	if ctxErr != nil {
-		return nil, st, ctxErr
-	}
 	for k, err := range errs {
 		if err != nil {
 			return nil, st, fmt.Errorf("core: %s/%s %s: %w", cb.App, cb.Model, cb.Units[dirty[k]].File, err)

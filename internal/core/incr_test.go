@@ -3,6 +3,7 @@ package core
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"silvervale/internal/cbdb"
@@ -177,8 +178,10 @@ func pr8Sweep(tb testing.TB, e *Engine, cbs map[string]*corpus.Codebase,
 
 // TestInvalidationExactness is the row/column property test: an edit to
 // one unit of one model invalidates exactly the matrix cells touching
-// that model — every other cell is served from the memo — and the warm
-// matrix is bit-identical to a cold engine's sweep of the edited corpus.
+// that model — every other cell is served from the memo — the warm
+// matrix is bit-identical to a cold engine's sweep of the edited corpus,
+// and inside the recomputed cells the edit's subtree-block work is a
+// fixed, mostly-restored count.
 func TestInvalidationExactness(t *testing.T) {
 	cbs, order := generateAll(t, "babelstream")
 	n := len(order)
@@ -193,7 +196,7 @@ func TestInvalidationExactness(t *testing.T) {
 
 	// Edit one unit of one model.
 	const victim = "cuda"
-	editKernels(t, cbs[victim])
+	file := editKernels(t, cbs[victim])
 	idxs2, warm := pr8Sweep(t, e, cbs, idxs, order, MetricTsem)
 	d := e.IncrStats().Delta(base)
 
@@ -231,10 +234,43 @@ func TestInvalidationExactness(t *testing.T) {
 		}
 	}
 	// ...and the whole warm matrix matches a cold engine, bit for bit.
-	fresh := NewEngine(2)
-	_, coldEdited := pr8Sweep(t, fresh, cbs, nil, order, MetricTsem)
+	cache := ted.NewCache()
+	fresh := NewEngineStore(2, cache, nil, nil)
+	freshIdxs, coldEdited := pr8Sweep(t, fresh, cbs, nil, order, MetricTsem)
 	if !sameBits(warm, coldEdited) {
 		t.Fatal("warm incremental matrix differs from a cold sweep of the edited corpus")
+	}
+
+	// Sub-cell work counts (DESIGN.md §13), on a serial engine over the
+	// cold engine's cache so scheduling cannot move them: a one-function
+	// edit recomputes only the keyroot blocks it dirtied and restores the
+	// rest from the subtree memo, and a second, structurally identical
+	// edit does exactly the same block work. A memo that stops restoring
+	// blocks fails both.
+	serial := NewEngineStore(1, cache, nil, nil)
+	freshIdxs, _ = pr8Sweep(t, serial, cbs, freshIdxs, order, MetricTsem)
+	edited := cbs[victim].Files[file]
+	blockWork := func(scale string) IncrStats {
+		t.Helper()
+		cbs[victim].Files[file] = strings.TrimSuffix(edited, pr8ExtraFn) +
+			strings.Replace(pr8ExtraFn, "2.0", scale, 1)
+		before := serial.IncrStats()
+		freshIdxs, _ = pr8Sweep(t, serial, cbs, freshIdxs, order, MetricTsem)
+		d := serial.IncrStats().Delta(before)
+		if d.CellsRecomputed != n-1 {
+			t.Fatalf("edit to one model recomputed %d cells, want %d", d.CellsRecomputed, n-1)
+		}
+		return d
+	}
+	first := blockWork("3.0")
+	if first.SubtreeBlocksRecomputed <= 0 || first.SubtreeBlocksRecomputed >= first.SubtreeBlocksReused {
+		t.Fatalf("one-function edit: %d subtree blocks recomputed, %d reused; want 0 < recomputed < reused",
+			first.SubtreeBlocksRecomputed, first.SubtreeBlocksReused)
+	}
+	second := blockWork("4.0")
+	if second.SubtreeBlocksReused != first.SubtreeBlocksReused ||
+		second.SubtreeBlocksRecomputed != first.SubtreeBlocksRecomputed {
+		t.Fatalf("identical edits did different block work: first %s; second %s", first.Line(), second.Line())
 	}
 
 	// Reverting the edit restores the original fingerprints, so the memo

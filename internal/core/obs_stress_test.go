@@ -19,7 +19,7 @@ import (
 func runInstrumentedMatrix(t *testing.T, idxs map[string]*Index, order []string, workers int) (*obs.Recorder, string) {
 	t.Helper()
 	rec := obs.NewRecorder()
-	engine := NewEngineObs(workers, ted.NewCache(), rec)
+	engine := NewEngineStore(workers, ted.NewCache(), rec, nil)
 	m, err := engine.Matrix(idxs, order, MetricTsem)
 	if err != nil {
 		t.Fatal(err)

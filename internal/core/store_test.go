@@ -71,6 +71,9 @@ func TestWarmStartMatrixDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Close on every failure path too: the write-behind flusher must
+	// drain before t.TempDir's cleanup removes the directory.
+	t.Cleanup(func() { st.Close() })
 	cold, coldOrder := buildMatrixWithStore(t, 2, st)
 	if s := st.Stats(); s.Hits != 0 {
 		t.Fatalf("cold run should not hit the store: %+v", s)
@@ -84,6 +87,7 @@ func TestWarmStartMatrixDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { st.Close() })
 		warm, order := buildMatrixWithStore(t, workers, st)
 		stats := st.Stats()
 		if err := st.Close(); err != nil {

@@ -180,31 +180,6 @@ func (p *cellPlan) reduce() (Divergence, TierCell) {
 	return Divergence{Metric: p.metric, Raw: raw, DMax: dmax, Norm: safeDiv(raw, dmax)}, tc
 }
 
-// TieredDiverge computes one cell under a tier policy, returning its
-// provenance alongside the divergence. Budget 0, a cache-less engine, or
-// a non-tree metric all fall back to the exact Diverge path.
-func (e *Engine) TieredDiverge(a, b *Index, metric string, p ted.TierPolicy) (Divergence, TierCell, error) {
-	if !e.tierable(metric, p) {
-		d, err := e.Diverge(a, b, metric)
-		if err != nil {
-			return Divergence{}, TierCell{}, err
-		}
-		tc := exactCell(a, b, metric)
-		e.countTier(tc)
-		return d, tc, nil
-	}
-	plan := e.planCell(a, b, metric, p)
-	dist := e.dist()
-	for i := range plan.routes {
-		if r := &plan.routes[i]; r.tier == ted.TierExact {
-			r.est = float64(dist(r.ta, r.tb))
-		}
-	}
-	d, tc := plan.reduce()
-	e.countTier(tc)
-	return d, tc, nil
-}
-
 // TieredMatrix bundles the matrix values with per-cell tier provenance
 // and the sweep's routing counts. Cells[i][j] and Cells[j][i] mirror the
 // same cell; the diagonal is zero.

@@ -51,7 +51,7 @@ func TestMatrixTieredBudgetZeroByteIdentical(t *testing.T) {
 			// inside the race detector's budget.
 			cache := ted.NewCache()
 			for _, workers := range tierWorkerCounts {
-				e := NewEngineWithCache(workers, cache)
+				e := NewEngineStore(workers, cache, nil, nil)
 				tm, err := e.MatrixTiered(idxs, order, metric, ted.NewTierPolicy(0))
 				if err != nil {
 					t.Fatal(err)
@@ -89,7 +89,7 @@ func TestMatrixTieredWithinBudget(t *testing.T) {
 				var ref string
 				var refStats TierStats
 				for _, workers := range tierWorkerCounts {
-					e := NewEngineWithCache(workers, cache)
+					e := NewEngineStore(workers, cache, nil, nil)
 					tm, err := e.MatrixTiered(idxs, order, metric, policy)
 					if err != nil {
 						t.Fatal(err)
@@ -128,33 +128,6 @@ func TestMatrixTieredWithinBudget(t *testing.T) {
 							app, metric, budget, workers, tm.Stats, refStats)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestTieredDivergeMatchesMatrix: the single-pair entry point agrees with
-// the corresponding matrix cell, and its provenance matches.
-func TestTieredDivergeMatchesMatrix(t *testing.T) {
-	idxs, order := buildIndexes(t, "babelstream-fortran")
-	policy := ted.NewTierPolicy(0.2)
-	e := NewEngine(2)
-	tm, err := e.MatrixTiered(idxs, order, MetricTsem, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewEngine(1)
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			d, tc, err := e2.TieredDiverge(idxs[order[i]], idxs[order[j]], MetricTsem, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.Norm != tm.Values[i][j] {
-				t.Fatalf("cell (%d,%d): TieredDiverge %v != matrix %v", i, j, d.Norm, tm.Values[i][j])
-			}
-			if tc != tm.Cells[i][j] {
-				t.Fatalf("cell (%d,%d): provenance %+v != matrix %+v", i, j, tc, tm.Cells[i][j])
 			}
 		}
 	}

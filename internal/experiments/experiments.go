@@ -71,23 +71,18 @@ func NewEnv() *Env { return NewEnvWorkers(0) }
 // NewEnvWorkers returns an environment whose engine uses the given worker
 // bound (<= 0 selects runtime.NumCPU(); 1 forces the serial path).
 func NewEnvWorkers(workers int) *Env {
-	return NewEnvObs(workers, nil)
+	return NewEnvStore(workers, nil, nil)
 }
 
-// NewEnvObs returns an environment whose engine, indexing pipeline, and
+// NewEnvStore returns an environment whose engine, indexing pipeline, and
 // per-figure runs record into rec: every Run(id) is wrapped in an
 // "experiment.<id>" span, so a sweep's trace and metrics aggregate
-// per-figure. A nil rec disables observability (the NewEnvWorkers path).
-func NewEnvObs(workers int, rec *obs.Recorder) *Env {
-	return NewEnvStore(workers, rec, nil)
-}
-
-// NewEnvStore returns an environment whose engine is additionally backed
-// by a persistent artifact store: app indexes warm-start from the store's
+// per-figure. A nil rec disables observability. A non-nil store
+// additionally backs the engine: app indexes warm-start from the store's
 // index tier and TED distances from its distance tier, so a repeat sweep
 // over the same corpus pays decode time instead of the pipeline and the
 // quadratic DP. The caller owns the store and must Close it to drain
-// write-behind records; a nil store yields exactly NewEnvObs.
+// write-behind records; a nil store runs memory-only.
 func NewEnvStore(workers int, rec *obs.Recorder, st *store.Store) *Env {
 	return &Env{
 		engine:      core.NewEngineStore(workers, ted.NewCache(), rec, st),

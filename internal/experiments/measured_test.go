@@ -149,7 +149,7 @@ func TestMeasuredDeterministicAcrossWorkers(t *testing.T) {
 // stays free of the provenance line.
 func TestMeasuredFiguresRun(t *testing.T) {
 	rec := obs.NewRecorder()
-	e := NewEnvObs(1, rec)
+	e := NewEnvStore(1, rec, nil)
 	if err := e.SetPhiSource(PhiSourceMeasured); err != nil {
 		t.Fatal(err)
 	}

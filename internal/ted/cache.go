@@ -66,7 +66,6 @@ type Cache struct {
 	rowBytes int64 // guarded by subMu
 	rowMax   int64 // eviction bound in bytes
 
-	subOn       atomic.Bool
 	subHits     atomic.Uint64
 	subMisses   atomic.Uint64
 	subEvicted  atomic.Uint64
@@ -136,9 +135,9 @@ type approxKey struct {
 }
 
 // NewCache returns an empty cache ready for concurrent use. The subtree-
-// block memo starts enabled with its default threshold and bound.
+// block memo starts with its default threshold and bound.
 func NewCache() *Cache {
-	c := &Cache{
+	return &Cache{
 		dist:     map[pairKey]int{},
 		approx:   map[approxKey]float64{},
 		profiles: map[tree.Fingerprint]PQGramProfile{},
@@ -154,8 +153,6 @@ func NewCache() *Cache {
 		rows:     map[rowKey][]rowSlot{},
 		rowMax:   rowDefaultMaxBytes,
 	}
-	c.subOn.Store(true)
-	return c
 }
 
 // SetRecorder attaches an observability recorder: every subsequent lookup
@@ -446,7 +443,7 @@ func (c *Cache) compute(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs,
 		if o != nil {
 			o.boundPruned.Add(1)
 		}
-	} else if c.subOn.Load() && a.krFP != nil && b.krFP != nil {
+	} else if a.krFP != nil && b.krFP != nil {
 		d = c.zsDistanceMemo(a, b, costs, sc, o)
 	} else {
 		d = zsDistance(a, b, costs, sc)

@@ -190,12 +190,6 @@ func subStoreKey(k subKey) store.SubKey {
 		Insert: k.costs.Insert, Delete: k.costs.Delete, Rename: k.costs.Rename}
 }
 
-// SetSubtreeMemo enables or disables the subtree-block memo (enabled by
-// default). Disabling routes cache misses to the monolithic Zhang–Shasha
-// DP — the PR 8 behaviour — which the benchmark harness uses as the
-// baseline edit path; distances are identical either way.
-func (c *Cache) SetSubtreeMemo(on bool) { c.subOn.Store(on) }
-
 // publishSubBlocks installs freshly built blocks, checkpoint rows, and
 // probe rows under one write lock, keep-first: a racing builder of the
 // same key computed a bit-identical payload, so the loser's copy is

@@ -320,8 +320,19 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 				continue
 			}
 			// Large blocks are worth a disk round trip: consult the
-			// persistent sub tier before paying the DP.
+			// persistent sub tier before paying the DP. Re-probe memory
+			// first: a concurrent worker may have published the block
+			// since the probe pass, and its write-behind copy must not be
+			// read back from disk as a store hit.
 			if st != nil && cells >= subStoreMinCells {
+				c.subMu.RLock()
+				bl := c.subs[key]
+				c.subMu.RUnlock()
+				if bl != nil {
+					hits++
+					row[kj] = bl
+					continue
+				}
 				if l1, l2, vals, ok := st.LookupSub(subStoreKey(key)); ok &&
 					int(l1) == len(rows) && int(l2) == len(cols) {
 					hits++

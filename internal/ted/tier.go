@@ -448,17 +448,6 @@ func (c *Cache) routeSlow(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Cost
 	return 0, TierExact
 }
 
-// TieredDistance evaluates one pair under a policy: route, then refine
-// exactly when the route demands it. The returned tier reports the
-// provenance of the value.
-func (c *Cache) TieredDistance(t1, t2 *tree.Node, costs Costs, p TierPolicy) (float64, Tier) {
-	est, tier := c.TierRoute(t1, t2, costs, p)
-	if tier == TierExact {
-		return float64(c.DistanceWithCosts(t1, t2, costs)), TierExact
-	}
-	return est, tier
-}
-
 // tieredEstimate produces the estimate for a far-routed pair, reading
 // through (and writing behind into) the store's tier records when a store
 // is attached. The store key carries the full policy and the tier, so
@@ -485,9 +474,4 @@ func (c *Cache) tieredEstimate(t1, t2 *tree.Node, fa, fb tree.Fingerprint, appro
 	est := c.calibratedRaw(t1, t2, fa, fb, approx, costs)
 	st.PutTierDist(tk, est)
 	return est
-}
-
-// EstimateRawForTest exposes estimateRaw for calibration harnesses.
-func EstimateRawForTest(approx float64, n1, n2 int, c Costs) float64 {
-	return estimateRaw(approx, n1, n2, c)
 }

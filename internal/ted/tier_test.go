@@ -122,17 +122,18 @@ func TestTierRouteEstimateInvariants(t *testing.T) {
 	}
 }
 
-// TestTieredDistanceBudgetZeroIsExact: the disabled policy must return
-// the exact distance for every pair, identical to Distance.
-func TestTieredDistanceBudgetZeroIsExact(t *testing.T) {
+// TestTierRouteBudgetZeroIsExact: the disabled policy must route
+// every pair to the exact tier, whose cached distance equals Distance.
+func TestTierRouteBudgetZeroIsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	c := NewCache()
 	for i := 0; i < 40; i++ {
 		t1 := randTree(r, 1+r.Intn(60))
 		t2 := disjointTree(r, 1+r.Intn(60))
-		d, tier := c.TieredDistance(t1, t2, UnitCosts(), NewTierPolicy(0))
-		if tier != TierExact || d != float64(Distance(t1, t2)) {
-			t.Fatalf("budget-0 pair: got (%v, %v), want exact %d", d, tier, Distance(t1, t2))
+		_, tier := c.TierRoute(t1, t2, UnitCosts(), NewTierPolicy(0))
+		d, want := c.DistanceWithCosts(t1, t2, UnitCosts()), Distance(t1, t2)
+		if tier != TierExact || d != want {
+			t.Fatalf("budget-0 pair: got (%d, %v), want exact %d", d, tier, want)
 		}
 	}
 }

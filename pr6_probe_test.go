@@ -18,9 +18,47 @@ import (
 	"time"
 
 	"silvervale/internal/core"
+	"silvervale/internal/corpus"
 	"silvervale/internal/ted"
 	"silvervale/internal/tree"
 )
+
+// pr6Units builds the corpus-scale unit population: every unit of every
+// app × model wrapped as a single-unit Index under one shared role, so
+// the engine's matrix sweep pairs all of them — the all-pairs
+// near-duplicate workload. Order is the deterministic corpus iteration
+// order.
+func pr6Units(t testing.TB) (map[string]*core.Index, []string) {
+	t.Helper()
+	idxs := map[string]*core.Index{}
+	var order []string
+	for _, app := range corpus.Apps() {
+		for _, m := range corpus.ModelsFor(app) {
+			cb, err := corpus.Generate(app, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := core.IndexCodebase(cb, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range idx.Units {
+				u := idx.Units[i]
+				if u.Trees[core.MetricTsem] == nil {
+					continue
+				}
+				u.Role = "unit" // one shared role: match() pairs every unit
+				name := fmt.Sprintf("%s/%s/%s", app.Name, m, u.File)
+				idxs[name] = &core.Index{
+					Codebase: app.Name, Model: string(m), Lang: idx.Lang,
+					Units: []core.UnitIndex{u},
+				}
+				order = append(order, name)
+			}
+		}
+	}
+	return idxs, order
+}
 
 func labelMultiset(t *tree.Node) map[string]int {
 	m := map[string]int{}
