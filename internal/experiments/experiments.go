@@ -479,7 +479,8 @@ func (e *Env) migrationFigure(id, app, base, title string) (*Result, error) {
 func (e *Env) cascadeFigure(id, app, title string) (*Result, error) {
 	plats := perf.Platforms()
 	models := corpus.CXXModels()
-	eff, phi, err := e.phiFns(app)
+	src := e.PhiSource()
+	eff, phi, err := e.phiFns(app, src)
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +499,7 @@ func (e *Env) cascadeFigure(id, app, title string) (*Result, error) {
 		phis = append(phis, phi(m, plats))
 	}
 	text := textplot.Cascade(names, series, phis)
-	if e.PhiSource() == PhiSourceMeasured {
+	if src == PhiSourceMeasured {
 		text += "\nphi source: measured (interpreter cost vectors, DESIGN.md §11)\n"
 	}
 	return &Result{ID: id, Title: title, Text: text}, nil
@@ -617,12 +618,13 @@ func (e *Env) fig15() (*Result, error) {
 	}
 	nvOnly := []perf.Platform{h100}
 	both := []perf.Platform{h100, mi}
-	_, phi, err := e.phiFns("cloverleaf")
+	src := e.PhiSource()
+	_, phi, err := e.phiFns("cloverleaf", src)
 	if err != nil {
 		return nil, err
 	}
 	var b strings.Builder
-	if e.PhiSource() == PhiSourceMeasured {
+	if src == PhiSourceMeasured {
 		b.WriteString("phi source: measured (interpreter cost vectors, DESIGN.md §11)\n")
 	}
 	fmt.Fprintf(&b, "Point 1: CUDA codebase, NVIDIA-only platform set: phi = %.3f\n",

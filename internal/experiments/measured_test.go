@@ -55,7 +55,7 @@ func TestSinglePassProfiling(t *testing.T) {
 	if _, err := e.NavChart("babelstream"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.phiFns("babelstream"); err != nil {
+	if _, _, err := e.phiFns("babelstream", PhiSourceMeasured); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.ProfileRuns(); got != want {

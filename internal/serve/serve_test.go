@@ -213,6 +213,31 @@ func TestPhiByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPhiSourceIsPerRequest: a request's phi_source applies to that
+// request only. After a measured request, a request naming no source must
+// still get the environment's default chart, byte-identical to `phi -json`.
+func TestPhiSourceIsPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("C++ phi sweep is too slow under -race; plain suite covers it")
+	}
+	want := phiRef(t, phiApp)
+	s := newServer(t, 2, 2, 8)
+	w := post(s, "/v1/phi", fmt.Sprintf(`{"app":%q,"phi_source":"measured"}`, phiApp))
+	if w.Code != http.StatusOK {
+		t.Fatalf("measured: status %d: %s", w.Code, w.Body)
+	}
+	if !strings.Contains(w.Body.String(), `"phi_source": "measured"`) {
+		t.Fatalf("measured request served a chart not stamped measured:\n%.300s", w.Body)
+	}
+	w = post(s, "/v1/phi", fmt.Sprintf(`{"app":%q}`, phiApp))
+	if w.Code != http.StatusOK {
+		t.Fatalf("default: status %d: %s", w.Code, w.Body)
+	}
+	if !bytes.Equal(w.Body.Bytes(), want) {
+		t.Error("a measured request changed the source of a later request with no phi_source")
+	}
+}
+
 // TestSweepStreamsPerMetricLines: /v1/sweep streams one NDJSON line per
 // metric, in request order, each carrying the exact matrix the one-shot
 // path computes.

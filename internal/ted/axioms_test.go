@@ -10,6 +10,7 @@ package ted
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"silvervale/internal/tree"
@@ -155,6 +156,31 @@ func TestCacheIdentityShortCircuit(t *testing.T) {
 	}
 	if st.Entries != 0 {
 		t.Fatalf("identity shortcut should not populate the memo: %+v", st)
+	}
+}
+
+// TestUncachedIdentityAllocatesNothing: the package-level path answers
+// an identical pair before flattening, as the cache does, so a
+// self-comparison of a large tree (core.SelfCheck during ingest) costs an
+// O(n) walk, not flats plus two n×n DP tables (~33 MB here).
+func TestUncachedIdentityAllocatesNothing(t *testing.T) {
+	chain := tree.New("A")
+	for cur, i := chain, 1; i < 2048; i++ {
+		next := tree.New([]string{"A", "B", "C"}[i%3])
+		cur.Add(next)
+		cur = next
+	}
+	clone := chain.Clone()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dSame := DistanceWithCosts(chain, chain, Costs{Insert: 2, Delete: 1, Rename: 3})
+	dClone := Distance(chain, clone)
+	runtime.ReadMemStats(&after)
+	if dSame != 0 || dClone != 0 {
+		t.Fatalf("identity distances = %d, %d, want 0, 0", dSame, dClone)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("identity pairs allocated %d bytes, want no DP tables", got)
 	}
 }
 

@@ -51,14 +51,6 @@ type Cache struct {
 	subMax   int64 // eviction bound in bytes
 	subMin   int   // memoisation threshold in DP cells (m1*m2)
 
-	// Forest-prefix checkpoint memo (DESIGN.md §13): root-keyroot-row DP
-	// rows captured at root-children boundaries, shared under subMu with
-	// the block memo but accounted and bounded separately.
-	ckpts     map[ckptKey][]int32
-	ckptBytes int64 // guarded by subMu
-	ckptMax   int64 // eviction bound in bytes
-	ckptMin   int   // minimum a-tree node count for capture/resume
-
 	// Probe-row memo (DESIGN.md §13): whole keyroot rows of block-grid
 	// probe results, content-addressed by (a keyroot subtree, b tree,
 	// costs), shared under subMu but accounted and bounded separately.
@@ -66,15 +58,13 @@ type Cache struct {
 	rowBytes int64 // guarded by subMu
 	rowMax   int64 // eviction bound in bytes
 
-	subHits     atomic.Uint64
-	subMisses   atomic.Uint64
-	subEvicted  atomic.Uint64
-	ckptHits    atomic.Uint64
-	ckptMisses  atomic.Uint64
-	ckptEvicted atomic.Uint64
-	rowHits     atomic.Uint64
-	rowMisses   atomic.Uint64
-	rowEvicted  atomic.Uint64
+	subHits      atomic.Uint64
+	subMisses    atomic.Uint64
+	subEvicted   atomic.Uint64
+	rowHits      atomic.Uint64
+	rowMisses    atomic.Uint64
+	rowEvicted   atomic.Uint64
+	keyrootCells atomic.Uint64
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -112,12 +102,10 @@ type cacheObs struct {
 	subHits     *obs.Counter   // ted.subtree_blocks_hit — keyroot blocks served from the memo
 	subMisses   *obs.Counter   // ted.subtree_blocks_miss — memoisable blocks not served
 	subEvicted  *obs.Counter   // ted.subtree_blocks_evicted — blocks dropped by the bound
-	ckptHits    *obs.Counter   // ted.ckpt_rows_hit — root-row DPs resumed from a checkpoint
-	ckptMisses  *obs.Counter   // ted.ckpt_rows_miss — root-row misses with no usable checkpoint
-	ckptEvicted *obs.Counter   // ted.ckpt_rows_evicted — checkpoint rows dropped by the bound
 	rowHits     *obs.Counter   // ted.probe_rows_hit — keyroot rows served by the probe-row memo
 	rowMisses   *obs.Counter   // ted.probe_rows_miss — keyroot rows probed slot by slot
 	rowEvicted  *obs.Counter   // ted.probe_rows_evicted — probe rows dropped by the bound
+	cells       *obs.Counter   // ted.keyroot_cells — forest cells filled by treedist runs
 	pairNodes   *obs.Histogram // ted.pair_nodes — size bucket per call
 }
 
@@ -147,9 +135,6 @@ func NewCache() *Cache {
 		subs:     map[subKey]*subBlock{},
 		subMax:   subDefaultMaxBytes,
 		subMin:   subDefaultMinCells,
-		ckpts:    map[ckptKey][]int32{},
-		ckptMax:  ckptDefaultMaxBytes,
-		ckptMin:  ckptDefaultMinRows,
 		rows:     map[rowKey][]rowSlot{},
 		rowMax:   rowDefaultMaxBytes,
 	}
@@ -179,12 +164,10 @@ func (c *Cache) SetRecorder(rec *obs.Recorder) {
 		subHits:     rec.Counter("ted.subtree_blocks_hit"),
 		subMisses:   rec.Counter("ted.subtree_blocks_miss"),
 		subEvicted:  rec.Counter("ted.subtree_blocks_evicted"),
-		ckptHits:    rec.Counter("ted.ckpt_rows_hit"),
-		ckptMisses:  rec.Counter("ted.ckpt_rows_miss"),
-		ckptEvicted: rec.Counter("ted.ckpt_rows_evicted"),
 		rowHits:     rec.Counter("ted.probe_rows_hit"),
 		rowMisses:   rec.Counter("ted.probe_rows_miss"),
 		rowEvicted:  rec.Counter("ted.probe_rows_evicted"),
+		cells:       rec.Counter("ted.keyroot_cells"),
 		pairNodes:   rec.Histogram("ted.pair_nodes"),
 	})
 }
@@ -230,15 +213,12 @@ type CacheStats struct {
 	SubtreeBlocks  int    // blocks currently resident
 	SubtreeBytes   int64  // accounted resident size (payload + overhead)
 
-	// Forest-prefix checkpoint traffic (DESIGN.md §13). A checkpoint hit
-	// resumes one root-keyroot-row DP from a memoised forest-prefix row
-	// instead of re-running it from row zero; misses count root-row block
-	// misses that found no usable checkpoint and paid the full row.
-	CheckpointHits    uint64 // root-row DPs resumed mid-row
-	CheckpointMisses  uint64 // root-row block misses with no checkpoint
-	CheckpointEvicted uint64 // checkpoint rows dropped by the byte bound
-	CheckpointRows    int    // checkpoint rows currently resident
-	CheckpointBytes   int64  // accounted resident size (payload + overhead)
+	// Always zero. The forest-prefix checkpoint memo these counted was
+	// removed once right-path flattening left it idle (DESIGN.md §13);
+	// the fields stay because the benchmark (perfbench/layers.go) reads them.
+	CheckpointHits   uint64
+	CheckpointMisses uint64
+	CheckpointBytes  int64
 
 	// Probe-row memo traffic (DESIGN.md §13). A probe-row hit replays one
 	// whole keyroot row of grid probe results — recorded only when every
@@ -249,6 +229,11 @@ type CacheStats struct {
 	ProbeRowEvicted uint64 // probe rows dropped by the byte bound
 	ProbeRows       int    // probe rows currently resident
 	ProbeRowBytes   int64  // accounted resident size (payload + overhead)
+
+	// KeyrootCells is the exact DP's work: Σ m1·m2 forest cells over every
+	// treedist run the memoised path executed (block hits and bound-gated
+	// pairs add nothing).
+	KeyrootCells uint64
 
 	// StoreEnabled marks the persistent tier attached; Store then carries
 	// its traffic counters (zero-valued otherwise, so the no-store path is
@@ -264,7 +249,6 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.RUnlock()
 	c.subMu.RLock()
 	subBlocks, subBytes := len(c.subs), c.subBytes
-	ckptRows, ckptBytes := len(c.ckpts), c.ckptBytes
 	probeRows, probeRowBytes := len(c.rows), c.rowBytes
 	c.subMu.RUnlock()
 	st := CacheStats{
@@ -284,17 +268,12 @@ func (c *Cache) Stats() CacheStats {
 		SubtreeBlocks:  subBlocks,
 		SubtreeBytes:   subBytes,
 
-		CheckpointHits:    c.ckptHits.Load(),
-		CheckpointMisses:  c.ckptMisses.Load(),
-		CheckpointEvicted: c.ckptEvicted.Load(),
-		CheckpointRows:    ckptRows,
-		CheckpointBytes:   ckptBytes,
-
 		ProbeRowHits:    c.rowHits.Load(),
 		ProbeRowMisses:  c.rowMisses.Load(),
 		ProbeRowEvicted: c.rowEvicted.Load(),
 		ProbeRows:       probeRows,
 		ProbeRowBytes:   probeRowBytes,
+		KeyrootCells:    c.keyrootCells.Load(),
 	}
 	if s := c.backing.Load(); s != nil {
 		st.StoreEnabled = true
@@ -332,10 +311,9 @@ func (s CacheStats) String() string {
 		s.BoundPruned, s.FlatHits, s.FlatHits+s.FlatMisses, 100*s.FlatHitRate())
 	line += fmt.Sprintf(", subtree blocks %d hit/%d miss, %d resident (%dB), %d evicted",
 		s.SubtreeHits, s.SubtreeMisses, s.SubtreeBlocks, s.SubtreeBytes, s.SubtreeEvicted)
-	line += fmt.Sprintf(", ckpt rows %d hit/%d miss, %d resident (%dB), %d evicted",
-		s.CheckpointHits, s.CheckpointMisses, s.CheckpointRows, s.CheckpointBytes, s.CheckpointEvicted)
 	line += fmt.Sprintf(", probe rows %d hit/%d miss, %d resident (%dB), %d evicted",
 		s.ProbeRowHits, s.ProbeRowMisses, s.ProbeRows, s.ProbeRowBytes, s.ProbeRowEvicted)
+	line += fmt.Sprintf(", %d keyroot cells", s.KeyrootCells)
 	if s.StoreEnabled {
 		line += ", " + s.Store.String()
 	}
@@ -443,10 +421,8 @@ func (c *Cache) compute(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs,
 		if o != nil {
 			o.boundPruned.Add(1)
 		}
-	} else if a.krFP != nil && b.krFP != nil {
-		d = c.zsDistanceMemo(a, b, costs, sc, o)
 	} else {
-		d = zsDistance(a, b, costs, sc)
+		d = c.zsDistanceMemo(a, b, costs, sc, o)
 	}
 	putScratch(sc)
 	return d

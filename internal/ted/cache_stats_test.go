@@ -1,6 +1,7 @@
 package ted
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -49,8 +50,14 @@ func TestCacheStatsAccounting(t *testing.T) {
 		t.Fatalf("flat memo = %d hits / %d misses / %d stored, want 0/2/2: %+v",
 			st.FlatHits, st.FlatMisses, st.Flats, st)
 	}
+	// The miss ran every keyroot pair of the mirrored flats once, so its
+	// work is the right-path product R(a)·R(b).
+	if want := rightPathCost(a) * rightPathCost(b); st.KeyrootCells != want {
+		t.Fatalf("keyroot cells = %d, want R(a)·R(b) = %d", st.KeyrootCells, want)
+	}
 	s := st.String()
-	for _, frag := range []string{"3 hits", "(1 identity)", "1 misses", "hit rate 75.0%"} {
+	for _, frag := range []string{"3 hits", "(1 identity)", "1 misses", "hit rate 75.0%",
+		fmt.Sprintf("%d keyroot cells", st.KeyrootCells)} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("String() = %q, missing %q", s, frag)
 		}
@@ -85,4 +92,24 @@ func TestCacheStatsAccounting(t *testing.T) {
 	if (CacheStats{}).FlatHitRate() != 0 {
 		t.Errorf("zero-value flat hit rate should be 0")
 	}
+}
+
+// rightPathCost is R(t): the summed subtree sizes over the root and every
+// node with a right sibling — the keyroots of t's mirror image.
+func rightPathCost(t *tree.Node) uint64 {
+	var walk func(n *tree.Node, keyroot bool) (size, cost uint64)
+	walk = func(n *tree.Node, keyroot bool) (uint64, uint64) {
+		size, cost := uint64(1), uint64(0)
+		for k, c := range n.Children {
+			s, sc := walk(c, k < len(n.Children)-1)
+			size += s
+			cost += sc
+		}
+		if keyroot {
+			cost += size
+		}
+		return size, cost
+	}
+	_, cost := walk(t, true)
+	return cost
 }

@@ -176,8 +176,7 @@ func refDistanceWithCosts(t1, t2 *tree.Node, c Costs) int {
 
 // --- shape generators ---------------------------------------------------------
 
-// combTree is a left comb: a chain where every node has one child plus
-// (optionally) a leaf sibling, the maximum-depth shape.
+// combTree is a chain, the maximum-depth shape.
 func combTree(r *rand.Rand, n int) *tree.Node {
 	labels := []string{"A", "B", "C", "D"}
 	root := tree.New(labels[r.Intn(len(labels))])
@@ -222,6 +221,36 @@ func deepWideTree(r *rand.Rand, n int) *tree.Node {
 	return root
 }
 
+// sideComb is a comb whose spine runs down the left (left == true) or the
+// right edge: every spine node has the next spine node and a leaf as its
+// two children. The two sides are mirror shapes, so one of them is the
+// left-path keyroot worst case and the other the best, whichever
+// direction the flattener takes.
+func sideComb(r *rand.Rand, n int, left bool) *tree.Node {
+	labels := []string{"A", "B", "C", "D"}
+	root := tree.New(labels[r.Intn(len(labels))])
+	cur := root
+	for n--; n > 0; n-- {
+		spine := tree.New(labels[r.Intn(len(labels))])
+		if n == 1 {
+			cur.Add(spine)
+			break
+		}
+		leaf := tree.New(labels[r.Intn(len(labels))])
+		if left {
+			cur.Add(spine, leaf)
+		} else {
+			cur.Add(leaf, spine)
+		}
+		n--
+		cur = spine
+	}
+	return root
+}
+
+func leftComb(r *rand.Rand, n int) *tree.Node  { return sideComb(r, n, true) }
+func rightComb(r *rand.Rand, n int) *tree.Node { return sideComb(r, n, false) }
+
 var equivalenceShapes = []struct {
 	name string
 	gen  func(r *rand.Rand, n int) *tree.Node
@@ -230,12 +259,18 @@ var equivalenceShapes = []struct {
 	{"comb", combTree},
 	{"wide", wideTree},
 	{"deepwide", deepWideTree},
+	{"leftcomb", leftComb},
+	{"rightcomb", rightComb},
 }
 
 // TestEquivalenceWithSeedImplementation drives randomized tree pairs of
 // every shape through the optimised uncached path, the cached path, and
-// the seed reference, for unit and skewed cost models. Any divergence in
-// the flat-memo, pooling, or bound-gate logic trips here.
+// the seed reference, for unit and skewed cost models (Insert != Delete
+// included). The seed copy walks left paths and the engine walks the
+// mirror image's, so this is also the independent check that mirroring
+// keeps every distance exact; left and right combs are the shapes the two
+// directions disagree on most. Any divergence in the flattening, flat-
+// memo, pooling, or bound-gate logic trips here.
 func TestEquivalenceWithSeedImplementation(t *testing.T) {
 	costs := []Costs{
 		UnitCosts(),

@@ -50,30 +50,31 @@ func internTableSize() int {
 // Zhang–Shasha operates on. A flat is immutable once built; memoised
 // flats (see Cache) are shared across goroutines on that basis.
 //
+// Every flat is built from the tree's mirror image (children taken right
+// to left), so the left-path keyroot DP below runs along the original
+// tree's right paths. TED is invariant under mirroring both trees, so
+// distances are unchanged; the work is not. Zhang–Shasha fills L(a)·L(b)
+// forest cells, L(T) the summed subtree sizes over T's keyroots, and on
+// the corpus the mirrored product is 0.42–0.53 of the plain one on T_sem
+// and 0.58–0.82 summed over all tree metrics, per app (DESIGN.md §6).
+//
 // Memoised flats (newFlat) additionally carry the keyroot content
 // plumbing the subtree-block memo needs (DESIGN.md §13): the fingerprint
-// of the subtree rooted at each keyroot, and the partition of post-order
-// indices into per-keyroot left spines. Every node belongs to exactly one
-// keyroot's spine (the keyroot of its lmld class), which is precisely the
-// set of treedist cells that keyroot pair writes into td — so a block
-// restore needs only these index lists. The pooled package-level path
-// leaves all three nil and always runs the monolithic DP.
+// of the (mirrored) subtree rooted at each keyroot, and the partition of
+// post-order indices into per-keyroot left spines. Every node belongs to
+// exactly one keyroot's spine (the keyroot of its lmld class), which is
+// precisely the set of treedist cells that keyroot pair writes into td —
+// so a block restore needs only these index lists. The pooled
+// package-level path leaves all three nil and always runs the monolithic
+// DP.
 type flat struct {
 	labels []int32 // interned label id per post-order index
 	lmld   []int32 // leftmost leaf descendant per post-order index
 	kr     []int   // keyroots in increasing order
 
-	krFP     []tree.Fingerprint // content address of subtree rooted at kr[k]
+	krFP     []tree.Fingerprint // content address of mirrored subtree rooted at kr[k]
 	spine    []int32            // post-order indices grouped by owning keyroot
 	spineOff []int32            // spine[spineOff[k]:spineOff[k+1]] = kr[k]'s spine, ascending
-
-	// Forest-prefix checkpoints for the root keyroot's DP row (DESIGN.md
-	// §13): ckptRow[k] is the fd row index completed at the boundary after
-	// the root's (k+1)-th child, and ckptFP[k] content-addresses the cut
-	// forest C1..C(k+1) as a fold of the children's subtree fingerprints.
-	// Used as the tree's left-operand state only; nil on the pooled path.
-	ckptRow []int32
-	ckptFP  []tree.Fingerprint
 }
 
 // flattener drives the post-order walk. A struct method recurses without
@@ -84,11 +85,13 @@ type flattener struct {
 	idx    int
 }
 
-// visit records node and returns its leftmost-leaf post-order index.
+// visit records node's mirror image — children right to left — and
+// returns its leftmost-leaf post-order index. This is the one place the
+// walk direction is fixed, for the memoised and the pooled path alike.
 func (fl *flattener) visit(node *tree.Node) int32 {
 	first := int32(-1)
-	for _, c := range node.Children {
-		l := fl.visit(c)
+	for k := len(node.Children) - 1; k >= 0; k-- {
+		l := fl.visit(node.Children[k])
 		if first < 0 {
 			first = l
 		}
@@ -149,15 +152,16 @@ func newFlat(t *tree.Node) *flat {
 }
 
 // buildSpines fills the keyroot content plumbing of a memoised flat: per-
-// keyroot subtree fingerprints (one amortised SubtreeFingerprints walk,
-// post-order-aligned with the flat arrays) and the spine partition. Spines
-// are built counting-sort style — keyroots and lmld values are in
-// bijection, so a slot table indexed by lmld value maps every node to its
-// owning keyroot in O(n) with no hashing, and the ascending scan leaves
-// each spine slice sorted, the order treedist writes its td cells in.
+// keyroot subtree fingerprints (one amortised MirrorSubtreeFingerprints
+// walk, post-order-aligned with the mirrored flat arrays) and the spine
+// partition. Spines are built counting-sort style — keyroots and lmld
+// values are in bijection, so a slot table indexed by lmld value maps
+// every node to its owning keyroot in O(n) with no hashing, and the
+// ascending scan leaves each spine slice sorted, the order treedist
+// writes its td cells in.
 func (f *flat) buildSpines(t *tree.Node) {
 	n := len(f.labels)
-	sub := t.SubtreeFingerprints()
+	sub := t.MirrorSubtreeFingerprints()
 	k := len(f.kr)
 	f.krFP = make([]tree.Fingerprint, k)
 	slot := make([]int32, n)
@@ -179,21 +183,5 @@ func (f *flat) buildSpines(t *tree.Node) {
 		ki := slot[f.lmld[x]]
 		f.spine[next[ki]] = int32(x)
 		next[ki]++
-	}
-	// Root-child boundaries for the checkpoint memo: the root keyroot's
-	// forest starts at post-order 0, so the DP row completed after child
-	// Ck ends at cumulative-size offset end(Ck)+1. The prefix fold at each
-	// boundary reuses the amortised per-subtree fingerprints.
-	if nch := len(t.Children); nch > 0 {
-		f.ckptRow = make([]int32, nch)
-		f.ckptFP = make([]tree.Fingerprint, nch)
-		var acc tree.Fingerprint
-		end := int32(-1)
-		for ci, ch := range t.Children {
-			end += int32(ch.Size())
-			acc = ckptFold(acc, sub[end])
-			f.ckptRow[ci] = end + 1
-			f.ckptFP[ci] = acc
-		}
 	}
 }

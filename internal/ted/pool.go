@@ -25,7 +25,6 @@ type dpScratch struct {
 	boff           []int32     // per-treedist b-side lmld offsets
 	blocks         []*subBlock // per-keyroot-pair probe results (memoised path)
 	done           []bool      // per-keyroot-pair lazily-restored marks (memoised path)
-	ckrefs         []ckptRef   // per-b-keyroot checkpoint probe results (memoised path)
 
 	stamp []int32 // bound gate: label-id stamps, indexed by interned id
 	cnt   []int32 // bound gate: label multiplicities for stamped ids
@@ -82,15 +81,6 @@ func (s *dpScratch) blockRefs(n int) ([]*subBlock, []bool) {
 		done[i] = false
 	}
 	return s.blocks[:n], done
-}
-
-// ckptRefs returns a scratch slice of n checkpoint probe slots with
-// unspecified contents; the probe phase overwrites every slot.
-func (s *dpScratch) ckptRefs(n int) []ckptRef {
-	if cap(s.ckrefs) < n {
-		s.ckrefs = make([]ckptRef, n)
-	}
-	return s.ckrefs[:n]
 }
 
 // matrix shapes rows r x c row headers over backing, growing both to the

@@ -43,22 +43,6 @@ const (
 	// block header, map bucket share) on top of the payload.
 	subEntryOverhead = 120
 
-	// ckptDefaultMinRows gates the forest-prefix checkpoint memo on the
-	// a-tree's node count (the root keyroot's DP row count). Below it the
-	// root row is cheap enough that checkpoint bookkeeping cannot pay for
-	// itself. The gate also guarantees no root-row pair falls below the
-	// block threshold (cells = n1*m2 >= n1), which the all-or-nothing
-	// resume rule requires.
-	ckptDefaultMinRows = 64
-
-	// ckptDefaultMaxBytes bounds the in-memory checkpoint memo, separate
-	// from the block bound so checkpoint pressure can never evict blocks
-	// (or vice versa) and perturb the block reuse counters.
-	ckptDefaultMaxBytes = 128 << 20
-
-	// ckptEntryOverhead approximates per-entry bookkeeping bytes.
-	ckptEntryOverhead = 96
-
 	// rowDefaultMaxBytes bounds the probe-row memo. Entries are slot lists
 	// (16 bytes per recorded hit), so even a fully warm corpus measures in
 	// single-digit megabytes; the bound caps pathological corpora.
@@ -67,62 +51,6 @@ const (
 	// rowEntryOverhead approximates per-entry bookkeeping bytes.
 	rowEntryOverhead = 112
 )
-
-// Forest-prefix fold hashing (same FNV-1a / djb2 construction as
-// tree.Fingerprint, so collision resistance is the same ~128-bit story).
-const (
-	ckptFnvOffset = 14695981039346656037
-	ckptFnvPrime  = 1099511628211
-	ckptDjbOffset = 5381
-)
-
-// ckptFold mixes the next root-child subtree fingerprint into the running
-// prefix fold. The fold of fp(C1)..fp(Ck) content-addresses the cut
-// forest C1..Ck — exactly the a-side state the root-row DP has consumed
-// after the row at Ck's boundary.
-func ckptFold(acc, fp tree.Fingerprint) tree.Fingerprint {
-	if acc == (tree.Fingerprint{}) {
-		acc = tree.Fingerprint{H1: ckptFnvOffset, H2: ckptDjbOffset}
-	}
-	mix := func(x uint64) {
-		for s := 0; s < 64; s += 8 {
-			b := uint64(byte(x >> s))
-			acc.H1 = (acc.H1 ^ b) * ckptFnvPrime
-			acc.H2 = acc.H2*33 + b
-		}
-	}
-	mix(fp.H1)
-	mix(fp.H2)
-	mix(uint64(fp.Size))
-	acc.Size += fp.Size
-	return acc
-}
-
-// ckptKey addresses one memoised root-row DP row: the fold of the a-side
-// root-children prefix, the b-side keyroot subtree, and the cost model.
-type ckptKey struct {
-	prefix tree.Fingerprint
-	b      tree.Fingerprint
-	costs  Costs
-}
-
-// ckptRef is one probe result: the DP row index to resume from plus the
-// memoised row values (m2+1 cells). A zero ref means no checkpoint hit.
-type ckptRef struct {
-	row  int32
-	vals []int32
-}
-
-// ckptEntry is one freshly captured checkpoint row awaiting publication.
-type ckptEntry struct {
-	key  ckptKey
-	vals []int32
-}
-
-// ckptRowBytes is the accounting size of one checkpoint entry.
-func ckptRowBytes(vals []int32) int64 {
-	return int64(len(vals))*4 + ckptEntryOverhead
-}
 
 // rowKey addresses one probed keyroot row of the block grid: the a-side
 // keyroot subtree, the whole b tree, and the cost model. For a fixed b
@@ -190,14 +118,14 @@ func subStoreKey(k subKey) store.SubKey {
 		Insert: k.costs.Insert, Delete: k.costs.Delete, Rename: k.costs.Rename}
 }
 
-// publishSubBlocks installs freshly built blocks, checkpoint rows, and
-// probe rows under one write lock, keep-first: a racing builder of the
-// same key computed a bit-identical payload, so the loser's copy is
-// garbage, never a conflict. Entries marked persist are queued to the
-// store's sub tier after the lock drops. Checkpoint and probe rows are
-// in-memory only (§13): they are re-derivable from one full root-row DP
-// (or one slot-by-slot probe), so disk round trips are not worth a tier.
-func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRows []rowEntry, st *store.Store, o *cacheObs) {
+// publishSubBlocks installs freshly built blocks and probe rows under one
+// write lock, keep-first: a racing builder of the same key computed a
+// bit-identical payload, so the loser's copy is garbage, never a
+// conflict. Entries marked persist are queued to the store's sub tier
+// after the lock drops. Probe rows are in-memory only (§13): they are
+// re-derivable from one slot-by-slot probe, so disk round trips are not
+// worth a tier.
+func (c *Cache) publishSubBlocks(fresh []subEntry, freshRows []rowEntry, st *store.Store, o *cacheObs) {
 	var persist []subEntry
 	c.subMu.Lock()
 	for _, e := range fresh {
@@ -213,17 +141,6 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 	var evicted uint64
 	if c.subBytes > c.subMax {
 		evicted = c.evictSubBlocksLocked()
-	}
-	for _, e := range freshCk {
-		if _, ok := c.ckpts[e.key]; ok {
-			continue
-		}
-		c.ckpts[e.key] = e.vals
-		c.ckptBytes += ckptRowBytes(e.vals)
-	}
-	var ckEvicted uint64
-	if c.ckptBytes > c.ckptMax {
-		ckEvicted = c.evictCkptsLocked()
 	}
 	for _, e := range freshRows {
 		if _, ok := c.rows[e.key]; ok {
@@ -241,12 +158,6 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 		c.subEvicted.Add(evicted)
 		if o != nil {
 			o.subEvicted.Add(int64(evicted))
-		}
-	}
-	if ckEvicted > 0 {
-		c.ckptEvicted.Add(ckEvicted)
-		if o != nil {
-			o.ckptEvicted.Add(int64(ckEvicted))
 		}
 	}
 	if rowEvicted > 0 {
@@ -293,23 +204,6 @@ func (c *Cache) evictRowsLocked() uint64 {
 		}
 		delete(c.rows, k)
 		c.rowBytes -= rowEntryBytes(slots)
-		n++
-	}
-	return n
-}
-
-// evictCkptsLocked is the checkpoint-memo mirror of evictSubBlocksLocked:
-// drop entries in map-iteration order until back under three quarters of
-// the bound. A dropped row only costs a future full root-row DP.
-func (c *Cache) evictCkptsLocked() uint64 {
-	target := c.ckptMax - c.ckptMax/4
-	var n uint64
-	for k, vals := range c.ckpts {
-		if c.ckptBytes <= target {
-			break
-		}
-		delete(c.ckpts, k)
-		c.ckptBytes -= ckptRowBytes(vals)
 		n++
 	}
 	return n

@@ -17,19 +17,16 @@ import (
 	"silvervale/internal/tree"
 )
 
-// memoCache returns a cache whose subtree memo and checkpoint memo fire
-// on every keyroot pair: the default thresholds exist to skip work too
-// small to profit, which would leave the fuzz-sized trees below them and
-// the memos untested.
+// memoCache returns a cache whose subtree memo fires on every keyroot
+// pair: the default threshold exists to skip work too small to profit,
+// which would leave the fuzz-sized trees below it and the memo untested.
 func memoCache() *Cache {
 	c := NewCache()
 	c.subMin = 1
-	c.ckptMin = 1
 	return c
 }
 
-// postorderNodes collects t's nodes in post-order, the index space the
-// flat arrays live in.
+// postorderNodes collects t's nodes in post-order.
 func postorderNodes(t *tree.Node, out []*tree.Node) []*tree.Node {
 	for _, c := range t.Children {
 		out = postorderNodes(c, out)
@@ -37,9 +34,22 @@ func postorderNodes(t *tree.Node, out []*tree.Node) []*tree.Node {
 	return append(out, t)
 }
 
+// mirrorTree returns a copy of t with every child list reversed. Flats
+// are built from this image, so the post-order of mirrorTree(t) is the
+// index space the flat arrays live in.
+func mirrorTree(t *tree.Node) *tree.Node {
+	m := tree.New(t.Label)
+	for k := len(t.Children) - 1; k >= 0; k-- {
+		m.Add(mirrorTree(t.Children[k]))
+	}
+	return m
+}
+
 // TestKeyrootSpineInvariants pins the flatten-side contract zsDistanceMemo
-// depends on: keyroots ascending with the root last, each the highest node
-// of its lmld class; krFP the content address of the keyroot's subtree;
+// depends on: the flat is the post-order of the tree's mirror image (the
+// fixed right-path direction, DESIGN.md §6); keyroots ascending with the
+// root last, each the highest node of its lmld class; krFP the content
+// address of the keyroot's mirrored subtree;
 // the spine partition covering every post-order index exactly once, each
 // spine ascending and containing exactly its keyroot's lmld class; and the
 // whole structure reproducible from a re-flatten (content addressing is
@@ -50,7 +60,12 @@ func TestKeyrootSpineInvariants(t *testing.T) {
 		tr := randTree(r, 1+r.Intn(120))
 		n := tr.Size()
 		f := newFlat(tr)
-		nodes := postorderNodes(tr, nil)
+		nodes := postorderNodes(mirrorTree(tr), nil)
+		for x, nd := range nodes {
+			if f.labels[x] != internID(nd.Label) {
+				t.Fatalf("flat label %d is not the mirror image's post-order label %q", x, nd.Label)
+			}
+		}
 
 		if len(f.kr) == 0 || f.kr[len(f.kr)-1] != n-1 {
 			t.Fatalf("keyroots %v do not end at the root (n=%d)", f.kr, n)
@@ -293,53 +308,35 @@ func TestSubtreeBlockExportImportRoundTrip(t *testing.T) {
 }
 
 // appendChild returns a clone of t with extra grafted on as a new last
-// child of the root — the append-edit shape the root-row checkpoint memo
-// exists for: every old root-child boundary's prefix fold is unchanged,
-// so a warm cache can resume the root row past the old children.
+// child of the root — the append edit a one-function addition makes.
 func appendChild(t, extra *tree.Node) *tree.Node {
 	c := t.Clone()
 	c.Add(extra.Clone())
 	return c
 }
 
-// TestRootRowCheckpointResume pins the checkpoint fast path end to end:
-// after warming a pair, an append-only edit to the a-side root must be
-// served by resuming the root keyroot's DP row from a memoised boundary
-// (CheckpointHits advances) and still return the monolithic distance
-// bit-identically. A b-side append must also stay correct even though
-// checkpoints are a-side-only (no resume, just block-level reuse).
-func TestRootRowCheckpointResume(t *testing.T) {
+// TestSubtreeMemoAppendEdits: after warming a pair, an append edit to the
+// a-side root and then to the b-side root must give, through the warm
+// memo, the seed implementation's left-path distance bit for bit. In the
+// mirrored flats the appended child is the root's first child, so the
+// edit lies on the root's spine.
+func TestSubtreeMemoAppendEdits(t *testing.T) {
 	r := rand.New(rand.NewSource(76))
 	for trial := 0; trial < 25; trial++ {
 		a := randTree(r, 40+r.Intn(80))
-		if len(a.Children) == 0 {
-			continue
-		}
 		b := relabelSome(r, a, 1+r.Intn(6))
 		costs := Costs{Insert: 1 + r.Intn(2), Delete: 1 + r.Intn(2), Rename: 1 + r.Intn(2)}
 		c := memoCache()
-		if got, want := c.DistanceWithCosts(a, b, costs), DistanceWithCosts(a, b, costs); got != want {
+		if got, want := c.DistanceWithCosts(a, b, costs), refDistanceWithCosts(a, b, costs); got != want {
 			t.Fatalf("warming pass diverged: %d != %d", got, want)
 		}
-		warm := c.Stats()
-		if warm.CheckpointRows == 0 {
-			t.Fatalf("warming pass captured no checkpoint rows (a has %d children)", len(a.Children))
-		}
-
 		a2 := appendChild(a, randTree(r, 1+r.Intn(10)))
-		want := DistanceWithCosts(a2, b, costs)
-		if got := c.DistanceWithCosts(a2, b, costs); got != want {
-			t.Fatalf("resumed distance %d != monolithic %d\na2=%s\nb=%s costs=%+v",
-				got, want, a2, b, costs)
+		if got, want := c.DistanceWithCosts(a2, b, costs), refDistanceWithCosts(a2, b, costs); got != want {
+			t.Fatalf("a-side append: memo %d != seed %d\na2=%s\nb=%s costs=%+v", got, want, a2, b, costs)
 		}
-		edited := c.Stats()
-		if edited.CheckpointHits == warm.CheckpointHits {
-			t.Fatalf("append edit did not resume from a checkpoint: %+v", edited)
-		}
-
 		b2 := appendChild(b, randTree(r, 1+r.Intn(10)))
-		if got, want := c.DistanceWithCosts(a2, b2, costs), DistanceWithCosts(a2, b2, costs); got != want {
-			t.Fatalf("b-side append diverged: %d != %d", got, want)
+		if got, want := c.DistanceWithCosts(a2, b2, costs), refDistanceWithCosts(a2, b2, costs); got != want {
+			t.Fatalf("b-side append: memo %d != seed %d\na2=%s\nb2=%s costs=%+v", got, want, a2, b2, costs)
 		}
 	}
 }
@@ -412,6 +409,9 @@ func FuzzSubtreeMemo(f *testing.F) {
 		}
 		costs := Costs{Insert: ci, Delete: cd, Rename: cr}
 		want := DistanceWithCosts(a, b, costs)
+		if ref := refDistanceWithCosts(a, b, costs); want != ref {
+			t.Fatalf("monolithic %d != seed %d\na=%s\nb=%s costs=%+v", want, ref, a, b, costs)
+		}
 		c := memoCache()
 		if got := c.DistanceWithCosts(a, b, costs); got != want {
 			t.Fatalf("memoised %d != monolithic %d\na=%s\nb=%s costs=%+v",
@@ -428,13 +428,13 @@ func FuzzSubtreeMemo(f *testing.F) {
 			t.Fatalf("restored blocks gave %d, monolithic %d\na=%s\nb=%s costs=%+v",
 				got, want, a, b, costs)
 		}
-		// checkpoint resume path: an append-only root edit against the warm
-		// cache exercises the root-row resume whenever a has children, and
-		// must stay bit-identical either way
+		// append edit against the warm cache: the mirrored flats put the
+		// new child first, so most keyroot rows change address, and the
+		// memo must still give the left-path seed's distance
 		a2 := appendChild(a, randTree(r, 1+r.Intn(8)))
-		want2 := DistanceWithCosts(a2, b, costs)
+		want2 := refDistanceWithCosts(a2, b, costs)
 		if got := c.DistanceWithCosts(a2, b, costs); got != want2 {
-			t.Fatalf("resumed memoised %d != monolithic %d\na2=%s\nb=%s costs=%+v",
+			t.Fatalf("append-edit memoised %d != seed %d\na2=%s\nb=%s costs=%+v",
 				got, want2, a2, b, costs)
 		}
 		// default thresholds: trees this size straddle subMin, so this is
@@ -446,7 +446,7 @@ func FuzzSubtreeMemo(f *testing.F) {
 				got, want, a, b, costs)
 		}
 		if got := cdef.DistanceWithCosts(a2, b, costs); got != want2 {
-			t.Fatalf("default-threshold resumed %d != monolithic %d\na2=%s\nb=%s costs=%+v",
+			t.Fatalf("default-threshold append-edit %d != seed %d\na2=%s\nb=%s costs=%+v",
 				got, want2, a2, b, costs)
 		}
 	})

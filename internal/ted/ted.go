@@ -11,8 +11,10 @@
 // (see approx.go) as the memory-friendly mode the paper lists as future
 // work.
 //
-// The hot path is organised around reuse (DESIGN.md §6): labels intern into
-// one process-wide table (flatten.go), per-call buffers — flattened trees,
+// The hot path is organised around reuse (DESIGN.md §6): every tree is
+// flattened from its mirror image, so the keyroot DP runs along right
+// paths, the cheaper decomposition on the corpus (flatten.go); labels
+// intern into one process-wide table (flatten.go), per-call buffers — flattened trees,
 // DP matrices, gate tables — come from a sync.Pool sized by high-water mark
 // (pool.go), cheap exact bound gates run before the quadratic DP
 // (bounds.go), and Cache memoises the flattened form of each tree by
@@ -47,7 +49,7 @@ func Distance(t1, t2 *tree.Node) int {
 }
 
 // DistanceWithCosts computes the exact tree edit distance under the given
-// cost model.
+// cost model. Identical trees return 0 without flattening either one.
 func DistanceWithCosts(t1, t2 *tree.Node, c Costs) int {
 	if t1 == nil && t2 == nil {
 		return 0
@@ -57,6 +59,11 @@ func DistanceWithCosts(t1, t2 *tree.Node, c Costs) int {
 	}
 	if t2 == nil {
 		return t1.Size() * c.Delete
+	}
+	if t1 == t2 || tree.Equal(t1, t2) {
+		// d(t, t) == 0 under every cost model: the empty edit script. The
+		// O(n) check spares self-comparisons (core.SelfCheck) the DP.
+		return 0
 	}
 	sc := getScratch()
 	sc.prepFlat(&sc.fa, t1.Size())
@@ -102,42 +109,28 @@ func zsDistance(a, b *flat, c Costs, sc *dpScratch) int {
 // So a block keyed by (subtree fingerprint pair, costs) can be restored
 // into td in enumeration order in place of re-running the DP, and every
 // later read — including the final root pair — sees bit-identical values.
-// This is why the memo is exact where a subtree-alignment DP is only an
-// upper bound: it replays the monolithic DP's own subproblem results
-// rather than re-deriving the distance from per-subtree distances, which
-// cannot express forest mappings that split a subtree (§12).
+// The subtrees are those of the mirrored flats the DP consumes, so the
+// key is the mirrored subtree's fingerprint (flat.krFP). This is why the
+// memo is exact where a subtree-alignment DP is only an upper bound: it
+// replays the monolithic DP's own subproblem results rather than
+// re-deriving the distance from per-subtree distances, which cannot
+// express forest mappings that split a subtree (§12).
 //
-// Two refinements keep the warm path off the recompute floor (§13):
-//
-//   - Lazy materialisation. A hit block's cells are only written into td
-//     when a DP run may actually read them. treedist(i, j) reads td cells
-//     confined to the post-order rectangle subtree(i) x subtree(j), and
-//     every cell in it is owned by a keyroot pair inside the same
-//     rectangle, so restoring the pending blocks of that keyroot sub-grid
-//     just before the run covers every read. Pairs below the size
-//     threshold need no materialisation at all: their read set is owned
-//     by strictly smaller pairs, which are below the threshold too and
-//     therefore always freshly computed.
-//   - Forest-prefix checkpoint resume. The root keyroot's row is the one
-//     row a root-changing edit always invalidates, and it dominates the
-//     recompute floor (its DP spans the whole tree). During a full
-//     root-row DP the fd row completed at each root-child boundary is a
-//     pure function of (cut forest C1..Ck, b subtree, costs), so it is
-//     captured under that content address; a later root-row miss resumes
-//     from the deepest boundary whose prefix fold still matches, paying
-//     only the rows after the edit. Resume is all-or-nothing across the
-//     root row: a resumed pair leaves its prefix-spine td cells
-//     unmaterialised, which is sound only because no below-threshold or
-//     fully-recomputed pair remains in the row to read them (non-root
-//     keyroots never own root-spine cells — the root is the only keyroot
-//     of its lmld class).
+// Lazy materialisation keeps the warm path off the recompute floor (§13).
+// A hit block's cells are only written into td when a DP run may actually
+// read them. treedist(i, j) reads td cells confined to the post-order
+// rectangle subtree(i) x subtree(j), and every cell in it is owned by a
+// keyroot pair inside the same rectangle, so restoring the pending blocks
+// of that keyroot sub-grid just before the run covers every read. Pairs
+// below the size threshold need no materialisation at all: their read set
+// is owned by strictly smaller pairs, which are below the threshold too
+// and therefore always freshly computed.
 //
 // Map traffic is batched: one read-lock probes the whole keyroot grid
-// plus the root-row checkpoints (phase 1), the DP/materialise pass runs
-// lock-free (phase 2), and one write lock publishes fresh blocks,
-// checkpoint rows, and probe rows keep-first (phase 3) — so the warm
-// path pays two lock acquisitions per tree pair, not two per keyroot
-// pair. The probe-row memo collapses phase 1 further: a keyroot row
+// (phase 1), the DP/materialise pass runs lock-free (phase 2), and one
+// write lock publishes fresh blocks and probe rows keep-first (phase 3) —
+// so the warm path pays two lock acquisitions per tree pair, not two per
+// keyroot pair. The probe-row memo collapses phase 1 further: a keyroot row
 // whose probe once came back all-hit is recorded under (a keyroot
 // subtree, b tree, costs) and replayed as one map probe plus a pointer
 // copy, so a warm re-probe pays one lookup per row instead of one per
@@ -150,18 +143,8 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	k2 := len(b.kr)
 	blocks, done := sc.blockRefs(k1 * k2)
 	minCells := c.subMin
-	lastKi := k1 - 1
 
-	// ckEligible also requires n1 >= minCells: with it, every root-row
-	// pair has cells = n1*m2 >= n1 >= minCells, so the all-or-nothing
-	// resume rule never has to reason about below-threshold pairs.
-	ckEligible := len(a.ckptRow) > 0 && n1 >= c.ckptMin && n1 >= minCells
-	var resume []ckptRef
-	if ckEligible {
-		resume = sc.ckptRefs(k2)
-	}
-
-	var hits, misses, ckHits, ckMisses, rowHits, rowMisses uint64
+	var hits, misses, rowHits, rowMisses, cellsRun uint64
 	var freshRows []rowEntry
 	bRoot := b.krFP[k2-1] // root is the last keyroot: the whole b tree
 	c.subMu.RLock()
@@ -205,35 +188,13 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 			freshRows = append(freshRows, rowEntry{key: rk, slots: slots})
 		}
 	}
-	resumable := ckEligible
-	minR0 := n1
-	if ckEligible {
-		row := blocks[lastKi*k2:]
-		for kj, j := range b.kr {
-			resume[kj] = ckptRef{}
-			if row[kj] != nil {
-				continue
-			}
-			m2 := j - int(b.lmld[j]) + 1
-			found := false
-			for t := len(a.ckptRow) - 1; t >= 0; t-- {
-				vals, ok := c.ckpts[ckptKey{prefix: a.ckptFP[t], b: b.krFP[kj], costs: costs}]
-				if ok && len(vals) == m2+1 {
-					resume[kj] = ckptRef{row: a.ckptRow[t], vals: vals}
-					found = true
-					if r := int(a.ckptRow[t]); r < minR0 {
-						minR0 = r
-					}
-					break
-				}
-			}
-			if !found {
-				resumable = false
-				ckMisses++
-			}
-		}
-	}
 	c.subMu.RUnlock()
+
+	// run is one treedist call, counted into the pair's m1·m2 keyroot cells.
+	run := func(i, j int) {
+		treedist(a, b, i, j, costs, td, fd, boff)
+		cellsRun += uint64(i-int(a.lmld[i])+1) * uint64(j-int(b.lmld[j])+1)
+	}
 
 	// materialise produces every pending td cell inside the post-order
 	// rectangle [aLo..aHi] x [bLo..bHi] — the cells the next DP run may
@@ -241,15 +202,14 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	// by the main loop — most of them are never read on a warm sweep) are
 	// computed now, in ascending keyroot-pair order so their own reads are
 	// satisfied first. Keyroot subtrees never straddle the bounds used
-	// here (subtree rectangles and root-forest suffixes are both unions of
-	// whole keyroot subtrees), so the sorted keyroot arrays give the
-	// covered pairs as contiguous index ranges, and a covered pair's own
-	// read rectangle is nested inside the requested one — no recursion.
-	// Memoisable misses inside the rectangle need no case: rectangle
-	// containment means they enumerate before the requesting pair, so the
-	// main loop already computed them (their done mark distinguishes them
-	// from deferred below-threshold slots); the requesting pair itself is
-	// skipped by the threshold test.
+	// here (subtree rectangles are unions of whole keyroot subtrees), so
+	// the sorted keyroot arrays give the covered pairs as contiguous index
+	// ranges, and a covered pair's own read rectangle is nested inside the
+	// requested one — no recursion. Memoisable misses inside the rectangle
+	// need no case: rectangle containment means they enumerate before the
+	// requesting pair, so the main loop already computed them (their done
+	// mark distinguishes them from deferred below-threshold slots); the
+	// requesting pair itself is skipped by the threshold test.
 	materialise := func(aLo, aHi, bLo, bHi int) {
 		kiLo := sort.SearchInts(a.kr, aLo)
 		kjLo := sort.SearchInts(b.kr, bLo)
@@ -271,15 +231,13 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 					restoreBlock(td, rows, b.spine[b.spineOff[kj]:b.spineOff[kj+1]], bl.vals)
 				} else if j := b.kr[kj]; m1*(j-int(b.lmld[j])+1) < minCells {
 					rdone[kj] = true
-					treedist(a, b, i, j, costs, td, fd, boff)
+					run(i, j)
 				}
 			}
 		}
 	}
 
 	var fresh []subEntry
-	var freshCk []ckptEntry
-	suffixDone := false
 	st := c.backing.Load()
 	for ki, i := range a.kr {
 		li := int(a.lmld[i])
@@ -287,7 +245,6 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 		rows := a.spine[a.spineOff[ki]:a.spineOff[ki+1]]
 		row := blocks[ki*k2 : (ki+1)*k2]
 		rdone := done[ki*k2 : (ki+1)*k2]
-		isRoot := ki == lastKi
 		for kj, j := range b.kr {
 			if row[kj] != nil {
 				continue // hit: materialised lazily if a later DP reads it
@@ -299,26 +256,6 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 			}
 			cols := b.spine[b.spineOff[kj]:b.spineOff[kj+1]]
 			key := subKey{a: a.krFP[ki], b: b.krFP[kj], costs: costs}
-			if isRoot && resumable {
-				// Block miss served by a checkpoint: recompute only the
-				// rows after the deepest matching prefix boundary. No
-				// block is harvested (the prefix-spine cells were never
-				// written); boundaries passed on the way down are.
-				misses++
-				ckHits++
-				r0 := int(resume[kj].row)
-				if !suffixDone {
-					// One scan covers every resumed pair in the row: their
-					// read rectangles all sit inside [shallowest resume
-					// boundary .. root] x the whole b tree.
-					materialise(li+minR0, i, 0, n2-1)
-					suffixDone = true
-				}
-				treedistFrom(a, b, i, j, costs, td, fd, boff, r0, resume[kj].vals)
-				rdone[kj] = true
-				freshCk = captureCkpts(freshCk, a, b.krFP[kj], j, lj, costs, fd, r0)
-				continue
-			}
 			// Large blocks are worth a disk round trip: consult the
 			// persistent sub tier before paying the DP. Re-probe memory
 			// first: a concurrent worker may have published the block
@@ -345,16 +282,13 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 			}
 			misses++
 			materialise(li, i, lj, j)
-			treedist(a, b, i, j, costs, td, fd, boff)
+			run(i, j)
 			rdone[kj] = true
 			fresh = append(fresh, subEntry{key: key, block: &subBlock{
 				l1:   int32(len(rows)),
 				l2:   int32(len(cols)),
 				vals: harvestBlock(td, rows, cols),
 			}, persist: cells >= subStoreMinCells})
-			if isRoot && ckEligible {
-				freshCk = captureCkpts(freshCk, a, b.krFP[kj], j, lj, costs, fd, 0)
-			}
 		}
 	}
 
@@ -374,8 +308,8 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 		d = int(td[n1-1][n2-1])
 	}
 
-	if len(fresh) > 0 || len(freshCk) > 0 || len(freshRows) > 0 {
-		c.publishSubBlocks(fresh, freshCk, freshRows, st, o)
+	if len(fresh) > 0 || len(freshRows) > 0 {
+		c.publishSubBlocks(fresh, freshRows, st, o)
 	}
 	if hits > 0 {
 		c.subHits.Add(hits)
@@ -387,18 +321,6 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 		c.subMisses.Add(misses)
 		if o != nil {
 			o.subMisses.Add(int64(misses))
-		}
-	}
-	if ckHits > 0 {
-		c.ckptHits.Add(ckHits)
-		if o != nil {
-			o.ckptHits.Add(int64(ckHits))
-		}
-	}
-	if ckMisses > 0 {
-		c.ckptMisses.Add(ckMisses)
-		if o != nil {
-			o.ckptMisses.Add(int64(ckMisses))
 		}
 	}
 	if rowHits > 0 {
@@ -413,26 +335,13 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 			o.rowMisses.Add(int64(rowMisses))
 		}
 	}
-	return d
-}
-
-// captureCkpts copies the fd rows completed at root-child boundaries
-// deeper than r0 out of the pooled DP table, keyed by (prefix fold, b
-// subtree, costs) for publication. Boundaries at or above r0 were either
-// restored from the memo (r0 itself) or never computed this run.
-func captureCkpts(dst []ckptEntry, a *flat, bFP tree.Fingerprint, j, lj int, costs Costs, fd [][]int32, r0 int) []ckptEntry {
-	m2 := j - lj + 1
-	for t, r := range a.ckptRow {
-		if int(r) <= r0 {
-			continue
+	if cellsRun > 0 {
+		c.keyrootCells.Add(cellsRun)
+		if o != nil {
+			o.cells.Add(int64(cellsRun))
 		}
-		vals := append([]int32(nil), fd[r][:m2+1]...)
-		dst = append(dst, ckptEntry{
-			key:  ckptKey{prefix: a.ckptFP[t], b: bFP, costs: costs},
-			vals: vals,
-		})
 	}
-	return dst
+	return d
 }
 
 // restoreBlock writes a memoised block's values into the td cells the
@@ -470,20 +379,6 @@ func harvestBlock(td [][]int32, rows, cols []int32) []int32 {
 // the majority of cells), and the west/northwest neighbours are carried in
 // registers across the row instead of re-read from the matrix.
 func treedist(a, b *flat, i, j int, c Costs, td, fd [][]int32, boff []int32) {
-	treedistFrom(a, b, i, j, c, td, fd, boff, 0, nil)
-}
-
-// treedistFrom is treedist with checkpoint resume (§13): when r0 > 0,
-// the memoised fd row `resume` (the row completed at a-forest prefix
-// [0..r0-1], m2+1 cells) is installed as the predecessor row and the row
-// loop starts at prefix length r0 instead of 0. Only the root keyroot is
-// ever resumed, so li == 0 and fd row indices coincide with prefix
-// lengths. The skipped rows' td cells are NOT produced; the caller's
-// all-or-nothing rule guarantees nothing later reads them, and the rows
-// that do run read only fd rows >= r0 plus fd[0] (a suffix node's lmld
-// is either >= r0, or it is the root itself, whose lmld row is fd[0] —
-// written unconditionally below).
-func treedistFrom(a, b *flat, i, j int, c Costs, td, fd [][]int32, boff []int32, r0 int, resume []int32) {
 	li := int(a.lmld[i])
 	lj := int(b.lmld[j])
 	m1 := i - li + 1 // a-forest size (DP rows)
@@ -492,12 +387,9 @@ func treedistFrom(a, b *flat, i, j int, c Costs, td, fd [][]int32, boff []int32,
 	del := int32(c.Delete)
 	ren := int32(c.Rename)
 
-	// Column 0 is only read for rows >= r0 (the resumed row itself arrives
-	// via the checkpoint copy, whose [0] cell is the same pure function),
-	// so a resumed run skips the prefix writes.
 	fd[0][0] = 0
-	col := int32(r0) * del
-	for r := r0 + 1; r <= m1; r++ {
+	col := int32(0)
+	for r := 1; r <= m1; r++ {
 		col += del
 		fd[r][0] = col
 	}
@@ -518,11 +410,7 @@ func treedistFrom(a, b *flat, i, j int, c Costs, td, fd [][]int32, boff []int32,
 	}
 	blab := b.labels[lj : j+1]
 
-	if r0 > 0 {
-		copy(fd[r0][:m2+1], resume)
-	}
-
-	for di := li + r0; di <= i; di++ {
+	for di := li; di <= i; di++ {
 		r := di - li
 		prev := fd[r][:m2+1]
 		cur := fd[r+1][:m2+1]

@@ -92,20 +92,22 @@ func (n *Node) fingerprintInto(s *fpState) {
 	s.writeByte(')')
 }
 
-// SubtreeFingerprints returns the Fingerprint of every subtree of n,
-// indexed by post-order position — SubtreeFingerprints(n)[i] equals
-// calling Fingerprint on the subtree rooted at post-order node i, with the
-// whole tree's own fingerprint last. A nil tree returns nil.
+// MirrorSubtreeFingerprints returns the Fingerprint of every subtree of
+// n's mirror image — the tree with every child list reversed — without
+// building it: entry i is the Fingerprint of the mirrored subtree rooted
+// at the mirror's post-order node i, with the whole mirror's fingerprint
+// last. A nil tree returns nil. These are the content addresses ted's
+// subtree-block memo keys on (DESIGN.md §13): ted flattens every tree
+// from its mirror image, so its DP runs over mirrored subtrees.
 //
 // Each subtree's serialisation is a contiguous substring of its ancestors'
 // (the separator after a child belongs to the parent), so one walk feeds
 // every byte to a stack of live ancestor hash states instead of
 // re-serialising each subtree from scratch: O(n·depth) byte feeds total,
 // against O(n²) for per-node Fingerprint calls. This is what makes
-// per-keyroot content addressing affordable in ted's subtree-block memo
-// (DESIGN.md §13): the whole array is amortised into the one flatten pass
-// a memoised tree already pays.
-func (n *Node) SubtreeFingerprints() []Fingerprint {
+// per-keyroot content addressing affordable: the whole array is amortised
+// into the one flatten pass a memoised tree already pays.
+func (n *Node) MirrorSubtreeFingerprints() []Fingerprint {
 	if n == nil {
 		return nil
 	}
@@ -126,11 +128,11 @@ func (n *Node) SubtreeFingerprints() []Fingerprint {
 		}
 		feed('(')
 		size := uint32(1)
-		for _, c := range nd.Children {
+		for k := len(nd.Children) - 1; k >= 0; k-- {
 			// The child's state is popped inside the recursive call before
 			// the ',' separator is fed: the separator is part of the
 			// parent's serialisation, not the child's standalone form.
-			size += walk(c)
+			size += walk(nd.Children[k])
 			feed(',')
 		}
 		feed(')')

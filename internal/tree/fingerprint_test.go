@@ -180,8 +180,7 @@ func FuzzFingerprint(f *testing.F) {
 	})
 }
 
-// postorder collects the nodes of t in post-order, the indexing contract
-// of SubtreeFingerprints.
+// postorder collects the nodes of t in post-order.
 func postorder(t *tree.Node, out []*tree.Node) []*tree.Node {
 	for _, c := range t.Children {
 		out = postorder(c, out)
@@ -189,10 +188,11 @@ func postorder(t *tree.Node, out []*tree.Node) []*tree.Node {
 	return append(out, t)
 }
 
-// TestSubtreeFingerprintsMatchStandalone: the amortised one-pass walk
-// must agree with calling Fingerprint independently on every subtree —
-// that identity is what makes keyroot blocks content-addressable
-// (silvervale/internal/ted, DESIGN.md §13).
+// TestSubtreeFingerprintsMatchStandalone: the amortised one-pass walk of
+// MirrorSubtreeFingerprints must agree with calling Fingerprint
+// independently on every subtree of an explicitly mirrored copy, indexed
+// by the copy's post-order — that identity is what makes keyroot blocks
+// content-addressable (silvervale/internal/ted, DESIGN.md §13).
 func TestSubtreeFingerprintsMatchStandalone(t *testing.T) {
 	var roots []*tree.Node
 	roots = append(roots, corpusSeedTrees(t)...)
@@ -209,24 +209,34 @@ func TestSubtreeFingerprintsMatchStandalone(t *testing.T) {
 		roots = append(roots, n)
 	}
 	for _, root := range roots {
-		nodes := postorder(root, nil)
-		fps := root.SubtreeFingerprints()
+		m := mirror(root)
+		nodes := postorder(m, nil)
+		fps := root.MirrorSubtreeFingerprints()
 		if len(fps) != len(nodes) {
 			t.Fatalf("%d fingerprints for %d nodes in %s", len(fps), len(nodes), root)
 		}
 		for i, nd := range nodes {
 			if fps[i] != nd.Fingerprint() {
-				t.Fatalf("subtree %d of %s: one-pass %+v != standalone %+v",
+				t.Fatalf("mirrored subtree %d of %s: one-pass %+v != standalone %+v",
 					i, root, fps[i], nd.Fingerprint())
 			}
 		}
-		// the final entry is the whole tree, by the post-order contract
-		if fps[len(fps)-1] != root.Fingerprint() {
-			t.Fatalf("last subtree fingerprint is not the root's for %s", root)
+		// the final entry is the whole mirror, by the post-order contract
+		if fps[len(fps)-1] != m.Fingerprint() {
+			t.Fatalf("last subtree fingerprint is not the mirror root's for %s", root)
 		}
 	}
 	var nilNode *tree.Node
-	if got := nilNode.SubtreeFingerprints(); got != nil {
+	if got := nilNode.MirrorSubtreeFingerprints(); got != nil {
 		t.Fatalf("nil tree yielded %v, want nil", got)
 	}
+}
+
+// mirror returns a copy of t with every child list reversed.
+func mirror(t *tree.Node) *tree.Node {
+	m := tree.New(t.Label)
+	for k := len(t.Children) - 1; k >= 0; k-- {
+		m.Add(mirror(t.Children[k]))
+	}
+	return m
 }
